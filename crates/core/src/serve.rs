@@ -16,11 +16,15 @@
 //!   **degraded** through the reference [`gust_sparse::CsrMatrix::spmv`]
 //!   kernel — correct, slower, never an error.
 //! * [`SpmvServer`] — a dispatcher thread over per-tenant bounded
-//!   admission queues. A full queue sheds the request with
-//!   [`GustError::Overloaded`] (explicit backpressure, never silent
-//!   drops). Compatible requests (same matrix, same element type) from
-//!   *different* tenants are aggregated round-robin into one panel, so
-//!   no tenant can starve another. Per-request deadlines are enforced
+//!   admission queues, plus one builder thread. The dispatcher never
+//!   loads or builds a plan: a matrix whose plan is not ready yet is
+//!   answered exactly by the reference kernel (`degraded`, counted in
+//!   [`ServeStats::cold_responses`]) while the builder makes the plan
+//!   ready through [`ScheduleRegistry::acquire`]. A full queue sheds
+//!   the request with [`GustError::Overloaded`] (explicit backpressure,
+//!   never silent drops). Compatible requests (same matrix, same
+//!   element type) from *different* tenants are aggregated round-robin
+//!   into one panel, so no tenant can starve another. Per-request deadlines are enforced
 //!   at the aggregation boundary, the execution boundary, and
 //!   client-side in [`Ticket::wait`], so a request can never hang past
 //!   its deadline. Execution faults (including injected
@@ -312,7 +316,8 @@ enum Breaker {
     HalfOpen,
 }
 
-/// What [`ScheduleRegistry::acquire`] hands back.
+/// What [`ScheduleRegistry::acquire`] (and a ready
+/// [`ScheduleRegistry::lookup`]) hands back.
 #[derive(Debug, Clone)]
 pub enum Acquired {
     /// The fast path: a memoized prepared schedule, carrying the
@@ -353,6 +358,10 @@ pub struct RegistryStats {
     pub breaker_opens: u64,
     /// Times a half-open probe succeeded and closed the breaker.
     pub breaker_recoveries: u64,
+    /// Blocking `acquire` calls that found a load or build of the same
+    /// key in flight and waited for its outcome instead of starting a
+    /// second one. Counted in neither `hits` nor `misses`.
+    pub build_waits: u64,
 }
 
 /// A registered matrix plus its memoized schedule and breaker state.
@@ -360,6 +369,9 @@ struct Entry {
     matrix: Arc<CsrMatrix>,
     schedule: Option<Arc<VerifiedSchedule<PreparedSchedule>>>,
     breaker: Breaker,
+    /// An `acquire` is loading or building this entry's plan; other
+    /// acquires of the key wait for it on the registry's `built` condvar.
+    building: bool,
 }
 
 struct RegistryInner {
@@ -380,6 +392,8 @@ pub struct ScheduleRegistry {
     /// Seed stream for backoff jitter.
     jitter: AtomicU64,
     inner: Mutex<RegistryInner>,
+    /// Signalled whenever an in-flight load or build ends.
+    built: Condvar,
 }
 
 impl std::fmt::Debug for ScheduleRegistry {
@@ -410,6 +424,7 @@ impl ScheduleRegistry {
                 entries: BTreeMap::new(),
                 stats: RegistryStats::default(),
             }),
+            built: Condvar::new(),
         }
     }
 
@@ -467,6 +482,7 @@ impl ScheduleRegistry {
             matrix: Arc::new(matrix.clone()),
             schedule: None,
             breaker: Breaker::Closed { failures: 0 },
+            building: false,
         });
         drop(inner);
         key
@@ -553,25 +569,70 @@ impl ScheduleRegistry {
             .map(|d| d.join(format!("{:016x}.{ext}", key.0)))
     }
 
-    /// Resolves `key` to an executable path: in-RAM memo, else disk
-    /// cache, else a (retried) build. A matrix whose breaker is open is
-    /// answered [`Acquired::Degraded`]; so is one whose build exhausts
-    /// its retries — degradation is the recovery, never an error.
+    /// The non-blocking half of [`ScheduleRegistry::acquire`]: the
+    /// memoized plan, [`Acquired::Degraded`] while the breaker is open,
+    /// or `None` when the plan is not ready yet. Never touches disk and
+    /// never builds; a blocking `acquire` (on a background thread, say)
+    /// makes the plan ready.
+    ///
+    /// # Errors
+    ///
+    /// Only [`GustError::UnknownMatrix`].
+    pub fn lookup(&self, key: MatrixKey) -> Result<Option<Acquired>, GustError> {
+        let mut inner = lock_recover(&self.inner);
+        let Some(entry) = inner.entries.get(&key.0) else {
+            return Err(GustError::UnknownMatrix { key: key.0 });
+        };
+        if let Some(schedule) = &entry.schedule {
+            let schedule = Arc::clone(schedule);
+            inner.stats.hits += 1;
+            return Ok(Some(Acquired::Scheduled(schedule)));
+        }
+        let open = matches!(entry.breaker, Breaker::Open { until } if Instant::now() < until);
+        Ok(open.then_some(Acquired::Degraded))
+    }
+
+    /// Resolves `key` to an executable path, blocking until it is
+    /// ready: in-RAM memo, else disk cache, else a (retried) build. A
+    /// matrix whose breaker is open is answered [`Acquired::Degraded`];
+    /// so is one whose build exhausts its retries — degradation is the
+    /// recovery, never an error. At most one load or build per key runs
+    /// at a time: an acquire that finds one in flight waits for it and
+    /// takes its outcome (counted in [`RegistryStats::build_waits`]).
     ///
     /// # Errors
     ///
     /// Only [`GustError::UnknownMatrix`] — every schedule-side failure
     /// degrades instead of erroring.
     pub fn acquire(&self, key: MatrixKey) -> Result<Acquired, GustError> {
-        let matrix = {
-            let mut inner = lock_recover(&self.inner);
+        let mut inner = lock_recover(&self.inner);
+        let mut waited = false;
+        let matrix = loop {
             let Some(entry) = inner.entries.get_mut(&key.0) else {
                 return Err(GustError::UnknownMatrix { key: key.0 });
             };
             if let Some(schedule) = &entry.schedule {
                 let schedule = Arc::clone(schedule);
-                inner.stats.hits += 1;
+                if !waited {
+                    inner.stats.hits += 1;
+                }
                 return Ok(Acquired::Scheduled(schedule));
+            }
+            if entry.building {
+                if !waited {
+                    waited = true;
+                    inner.stats.build_waits += 1;
+                }
+                inner = self
+                    .built
+                    .wait(inner)
+                    .unwrap_or_else(PoisonError::into_inner);
+                continue;
+            }
+            if waited {
+                // The build waited for published no plan: it failed, and
+                // its failure is already on the breaker.
+                return Ok(Acquired::Degraded);
             }
             match entry.breaker {
                 Breaker::Open { until } if Instant::now() < until => {
@@ -579,21 +640,24 @@ impl ScheduleRegistry {
                 }
                 Breaker::Open { .. } => {
                     // Cooldown elapsed: this acquire is the half-open
-                    // probe. A concurrent acquire seeing HalfOpen still
-                    // probes too — duplicate probes are wasteful, not
-                    // wrong.
+                    // probe; concurrent acquires wait for its outcome.
                     entry.breaker = Breaker::HalfOpen;
                 }
                 Breaker::Closed { .. } | Breaker::HalfOpen => {}
             }
+            entry.building = true;
             let matrix = Arc::clone(&entry.matrix);
             inner.stats.misses += 1;
-            matrix
+            break matrix;
+        };
+        drop(inner);
+        let _in_flight = InFlight {
+            registry: self,
+            key,
         };
 
         // Disk, then build — both outside the lock so a slow build never
-        // blocks unrelated acquires. Concurrent misses may both build;
-        // the memo store below is idempotent.
+        // blocks unrelated acquires.
         if let Some(schedule) = self.try_disk_load(key, &matrix) {
             let schedule = Arc::new(schedule);
             let mut inner = lock_recover(&self.inner);
@@ -751,6 +815,25 @@ impl ScheduleRegistry {
     }
 }
 
+/// Marks a load or build in flight for the lifetime of one `acquire`:
+/// dropping it clears the entry's `building` flag and wakes the acquires
+/// waiting on it, however the load or build ended.
+struct InFlight<'a> {
+    registry: &'a ScheduleRegistry,
+    key: MatrixKey,
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        let mut inner = lock_recover(&self.registry.inner);
+        if let Some(entry) = inner.entries.get_mut(&self.key.0) {
+            entry.building = false;
+        }
+        drop(inner);
+        self.registry.built.notify_all();
+    }
+}
+
 /// Serving-runtime tunables (see [`SpmvServer::start`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
@@ -785,8 +868,8 @@ pub struct Response<T> {
     /// Submit-to-completion latency as observed by the dispatcher.
     pub latency: Duration,
     /// `true` when this response was served by the reference kernel
-    /// (open breaker or exhausted fast-path retries) instead of the
-    /// scheduled engine walk.
+    /// (plan not ready yet, open breaker, or exhausted fast-path
+    /// retries) instead of the scheduled engine walk.
     pub degraded: bool,
 }
 
@@ -923,7 +1006,8 @@ impl Work {
 
 /// Cumulative serving counters (see [`SpmvServer::stats`]).
 ///
-/// Invariants: `submitted == admitted + shed`, and once the server has
+/// Invariants: `submitted == admitted + shed`,
+/// `cold_responses <= degraded_responses`, and once the server has
 /// drained, `admitted == completed + deadline_missed + stopped`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeStats {
@@ -945,6 +1029,10 @@ pub struct ServeStats {
     pub late_results: u64,
     /// Responses served by the reference kernel.
     pub degraded_responses: u64,
+    /// The subset of `degraded_responses` served by the reference
+    /// kernel because the matrix's plan was not ready yet (its load or
+    /// build was handed to the builder thread).
+    pub cold_responses: u64,
     /// Execution panels dispatched to the engine.
     pub batches: u64,
     /// Requests served through those panels (`batched_requests /
@@ -964,6 +1052,17 @@ struct ServerShared {
     queues: Mutex<QueueState>,
     wake: Condvar,
     stats: Mutex<ServeStats>,
+    builds: Mutex<BuildQueue>,
+    build_wake: Condvar,
+}
+
+/// Plan loads and builds handed from the dispatcher to the builder.
+struct BuildQueue {
+    /// Keys waiting for the builder, oldest first.
+    pending: VecDeque<MatrixKey>,
+    /// The key the builder is acquiring now.
+    current: Option<MatrixKey>,
+    stop: bool,
 }
 
 struct QueueState {
@@ -985,11 +1084,12 @@ impl ServerShared {
 }
 
 /// The serving front-end (see the [module docs](self)). Dropping the
-/// server stops the dispatcher and drains still-queued requests with
-/// [`GustError::ServerStopped`].
+/// server stops the dispatcher and the builder and drains still-queued
+/// requests with [`GustError::ServerStopped`].
 pub struct SpmvServer {
     shared: Arc<ServerShared>,
     dispatcher: Option<std::thread::JoinHandle<()>>,
+    builder: Option<std::thread::JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for SpmvServer {
@@ -1001,11 +1101,12 @@ impl std::fmt::Debug for SpmvServer {
 }
 
 impl SpmvServer {
-    /// Starts the dispatcher thread over `registry`.
+    /// Starts the dispatcher thread and the plan-builder thread over
+    /// `registry`.
     ///
     /// # Panics
     ///
-    /// Panics if the dispatcher thread cannot be spawned.
+    /// Panics if either thread cannot be spawned.
     #[must_use]
     pub fn start(registry: Arc<ScheduleRegistry>, config: ServeConfig) -> Self {
         let shared = Arc::new(ServerShared {
@@ -1018,17 +1119,26 @@ impl SpmvServer {
             }),
             wake: Condvar::new(),
             stats: Mutex::new(ServeStats::default()),
+            builds: Mutex::new(BuildQueue {
+                pending: VecDeque::new(),
+                current: None,
+                stop: false,
+            }),
+            build_wake: Condvar::new(),
         });
-        let dispatcher = {
+        let spawn = |name: &str, body: fn(&ServerShared)| {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
-                .name("gust-serve".into())
-                .spawn(move || dispatch_loop(&shared))
-                .unwrap_or_else(|e| panic!("failed to spawn gust-serve dispatcher: {e}"))
+                .name(name.into())
+                .spawn(move || body(&shared))
+                .unwrap_or_else(|e| panic!("failed to spawn {name} thread: {e}"))
         };
+        let dispatcher = spawn("gust-serve", dispatch_loop);
+        let builder = spawn("gust-build", build_loop);
         Self {
             shared,
             dispatcher: Some(dispatcher),
+            builder: Some(builder),
         }
     }
 
@@ -1175,7 +1285,9 @@ impl SpmvServer {
     }
 
     /// Stops the dispatcher and drains still-queued requests with
-    /// [`GustError::ServerStopped`]. Idempotent; also run by `Drop`.
+    /// [`GustError::ServerStopped`], then stops the builder: a load or
+    /// build in flight finishes, queued ones are dropped. Idempotent;
+    /// also run by `Drop`.
     pub fn stop(&mut self) {
         {
             let mut queues = lock_recover(&self.shared.queues);
@@ -1184,6 +1296,16 @@ impl SpmvServer {
             self.shared.wake.notify_all();
         }
         if let Some(handle) = self.dispatcher.take() {
+            let _ = handle.join();
+        }
+        // The dispatcher is gone, so nothing queues a build after this.
+        {
+            let mut builds = lock_recover(&self.shared.builds);
+            builds.stop = true;
+            drop(builds);
+            self.shared.build_wake.notify_all();
+        }
+        if let Some(handle) = self.builder.take() {
             let _ = handle.join();
         }
     }
@@ -1264,6 +1386,47 @@ fn dispatch_loop(shared: &ServerShared) {
     }
 }
 
+/// The builder: makes handed-off plans ready, one key at a time, through
+/// the registry's blocking [`ScheduleRegistry::acquire`] — which owns the
+/// disk load, audit, retried build, breaker, write-back and memo publish
+/// — so none of that runs on the dispatcher.
+fn build_loop(shared: &ServerShared) {
+    loop {
+        let key = {
+            let mut builds = lock_recover(&shared.builds);
+            loop {
+                if builds.stop {
+                    return;
+                }
+                if let Some(key) = builds.pending.pop_front() {
+                    builds.current = Some(key);
+                    break key;
+                }
+                builds = shared
+                    .build_wake
+                    .wait(builds)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+        };
+        // Every outcome lands in the registry (memo, breaker, stats); a
+        // contained panic must not take the builder down with it.
+        let _ = catch_unwind(AssertUnwindSafe(|| shared.registry.acquire(key)));
+        lock_recover(&shared.builds).current = None;
+    }
+}
+
+/// Hands `key`'s plan to the builder unless it is already queued or
+/// being acquired.
+fn request_build(shared: &ServerShared, key: MatrixKey) {
+    let mut builds = lock_recover(&shared.builds);
+    if builds.current == Some(key) || builds.pending.contains(&key) {
+        return;
+    }
+    builds.pending.push_back(key);
+    drop(builds);
+    shared.build_wake.notify_one();
+}
+
 /// Pops the next head-of-line request tenant-fairly (round-robin from
 /// the cursor), then sweeps the other tenants round-robin for
 /// compatible requests until the panel is full. Every tenant
@@ -1326,8 +1489,9 @@ fn collect_batch(queues: &mut QueueState, max_batch: usize) -> Vec<Work> {
 type PanelExec<T> = fn(&Gust, &PreparedSchedule, &[T], usize) -> Result<Vec<T>, GustError>;
 
 /// Executes one same-key, same-element panel: deadline check at the
-/// execution boundary, injected-delay fault, retried engine execution
-/// with breaker integration, reference fallback, completion.
+/// execution boundary, injected-delay fault, non-blocking plan lookup
+/// (a plan that is not ready is handed to the builder), retried engine
+/// execution with breaker integration, reference fallback, completion.
 fn execute_panel<T: Copy>(
     shared: &ServerShared,
     requests: Vec<Request<T>>,
@@ -1378,11 +1542,23 @@ fn execute_panel<T: Copy>(
         panel.extend_from_slice(&r.x);
     }
 
-    // Fast path: acquire (registry handles its own retry/breaker), then
-    // execute with retry around contained faults. Failures degrade.
+    // Fast path: a ready plan, executed with retry around contained
+    // faults. A plan that is not ready goes to the builder and this
+    // panel to the reference kernel, as does an open breaker. Failures
+    // degrade.
     let mut degraded = true;
+    let mut cold = false;
     let mut outputs: Option<Vec<T>> = None;
-    if let Ok(Acquired::Scheduled(schedule)) = shared.registry.acquire(key) {
+    let schedule = match shared.registry.lookup(key) {
+        Ok(Some(Acquired::Scheduled(schedule))) => Some(schedule),
+        Ok(None) => {
+            request_build(shared, key);
+            cold = true;
+            None
+        }
+        Ok(Some(Acquired::Degraded)) | Err(_) => None,
+    };
+    if let Some(schedule) = schedule {
         let engine = shared.registry.engine().clone();
         let retry = shared.config.retry;
         for attempt in 0..retry.attempts.max(1) {
@@ -1428,6 +1604,9 @@ fn execute_panel<T: Copy>(
         s.batched_requests += batch as u64;
         if degraded {
             s.degraded_responses += batch as u64;
+        }
+        if cold {
+            s.cold_responses += batch as u64;
         }
     });
 
@@ -1549,6 +1728,85 @@ mod tests {
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.rebuilds, 1);
+    }
+
+    #[test]
+    fn lookup_reports_not_ready_without_building() {
+        let registry = ScheduleRegistry::new(engine());
+        let key = registry.insert(&small_matrix(14));
+        assert!(matches!(registry.lookup(key), Ok(None)));
+        assert_eq!(registry.stats(), RegistryStats::default());
+        let Acquired::Scheduled(built) = registry.acquire(key).unwrap() else {
+            panic!("a clean build is scheduled");
+        };
+        let Ok(Some(Acquired::Scheduled(looked_up))) = registry.lookup(key) else {
+            panic!("lookup must return the memoized plan");
+        };
+        assert!(Arc::ptr_eq(&built, &looked_up));
+        assert!(matches!(
+            registry.lookup(MatrixKey(42)),
+            Err(GustError::UnknownMatrix { key: 42 })
+        ));
+    }
+
+    #[test]
+    fn lookup_degrades_only_while_the_breaker_is_open() {
+        let registry = ScheduleRegistry::new(engine()).with_breaker(BreakerPolicy {
+            threshold: 1,
+            cooldown: Duration::from_millis(100),
+        });
+        let key = registry.insert(&small_matrix(15));
+        registry.acquire(key).unwrap();
+        registry.poison(key);
+        assert!(matches!(registry.lookup(key), Ok(Some(Acquired::Degraded))));
+        // Cooldown elapsed: not ready, so a caller hands it to a build.
+        std::thread::sleep(Duration::from_millis(101));
+        assert!(matches!(registry.lookup(key), Ok(None)));
+    }
+
+    #[test]
+    fn concurrent_acquire_waits_for_the_build_in_flight() {
+        let registry = ScheduleRegistry::new(engine());
+        let key = registry.insert(&small_matrix(16));
+        // Hold the in-flight mark by hand so the second acquire is sure
+        // to find the build running.
+        lock_recover(&registry.inner)
+            .entries
+            .get_mut(&key.as_u64())
+            .unwrap()
+            .building = true;
+        let in_flight = InFlight {
+            registry: &registry,
+            key,
+        };
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| registry.acquire(key).unwrap());
+            while registry.stats().build_waits == 0 {
+                std::thread::yield_now();
+            }
+            // The "build" publishes, then ends.
+            let plan = Arc::new(VerifiedSchedule::witness(
+                registry.build_once(registry.matrix(key).unwrap().as_ref()),
+            ));
+            lock_recover(&registry.inner)
+                .entries
+                .get_mut(&key.as_u64())
+                .unwrap()
+                .schedule = Some(Arc::clone(&plan));
+            drop(in_flight);
+            let Acquired::Scheduled(got) = waiter.join().unwrap() else {
+                panic!("the waiter takes the published plan");
+            };
+            assert!(Arc::ptr_eq(&got, &plan));
+        });
+        let stats = registry.stats();
+        assert_eq!(stats.build_waits, 1);
+        assert_eq!(
+            stats.rebuilds + stats.disk_loads,
+            0,
+            "the waiter built nothing"
+        );
+        assert_eq!(stats.hits + stats.misses, 0);
     }
 
     #[test]
@@ -1684,8 +1942,10 @@ mod tests {
     fn server_round_trip_matches_reference_bitwise() {
         let matrix = small_matrix(7);
         let registry = Arc::new(ScheduleRegistry::new(engine()));
-        let server = SpmvServer::start(registry, ServeConfig::default());
+        let server = SpmvServer::start(Arc::clone(&registry), ServeConfig::default());
         let key = server.register(&matrix);
+        // Plans are built off the dispatcher: make this one ready first.
+        registry.acquire(key).unwrap();
 
         let x = int_vector(matrix.cols());
         let resp = server.call(0, key, x.clone()).unwrap();

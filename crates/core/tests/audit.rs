@@ -247,6 +247,9 @@ fn serving_call_stays_correct_over_a_forged_cache() {
     let registry = std::sync::Arc::new(ScheduleRegistry::new(engine()).with_cache_dir(&dir));
     let server = SpmvServer::start(std::sync::Arc::clone(&registry), ServeConfig::default());
     let key = server.register(&m);
+    // Plans are loaded off the dispatcher: the forged file is read,
+    // rejected and rebuilt here, before serving.
+    assert!(matches!(registry.acquire(key), Ok(Acquired::Scheduled(_))));
     let x: Vec<f32> = (0..m.cols()).map(|i| ((i % 5) as f32) - 2.0).collect();
     let resp = server
         .call(0, key, x.clone())

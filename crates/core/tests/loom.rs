@@ -1,5 +1,5 @@
-//! Concurrency model tests for `parallel::Pool` and the `SpmvServer`
-//! wait/abandon protocol, run under `loom`:
+//! Concurrency model tests for `parallel::Pool`, the `SpmvServer`
+//! wait/abandon protocol and its plan-builder handoff, run under `loom`:
 //!
 //! ```text
 //! RUSTFLAGS="--cfg loom" cargo test -p gust --test loom
@@ -14,7 +14,7 @@
 #![cfg(loom)]
 
 use gust::prelude::*;
-use gust::serve::{ScheduleRegistry, ServeConfig, SpmvServer};
+use gust::serve::{Acquired, ScheduleRegistry, ServeConfig, SpmvServer};
 use gust_sparse::gen;
 use gust_sparse::CsrMatrix;
 use loom::sync::atomic::{AtomicUsize, Ordering};
@@ -135,6 +135,80 @@ fn server_wait_abandon_protocol_accounts_every_request() {
             stats.admitted,
             stats.completed + stats.deadline_missed + stats.stopped,
             "drained server must account every admitted request: {stats:?}"
+        );
+    });
+}
+
+/// Builder handoff: a cold request hands the plan to the server's
+/// builder thread, whose memo publish races a blocking `acquire` of the
+/// same key on another thread. Exactly one load or build happens, and
+/// both sides end up with the same plan.
+#[test]
+fn builder_publish_races_a_blocking_acquire() {
+    loom::model(|| {
+        let (mut server, matrix) = serving_pair();
+        let registry = std::sync::Arc::clone(server.registry());
+        let key = server.register(&matrix);
+        let racer = {
+            let registry = std::sync::Arc::clone(&registry);
+            loom::thread::spawn(move || registry.acquire(key))
+        };
+        let x: Vec<f32> = (0..matrix.cols()).map(|i| i as f32).collect();
+        let resp = server.call(0, key, x).expect("in-deadline call succeeds");
+        assert_eq!(resp.output.len(), matrix.rows());
+        let raced = racer.join().expect("racer thread");
+        // Joins the builder: whatever it was handed has finished.
+        server.stop();
+
+        let Ok(Acquired::Scheduled(raced)) = raced else {
+            panic!("a clean build is scheduled");
+        };
+        let Ok(Some(Acquired::Scheduled(memo))) = registry.lookup(key) else {
+            panic!("the plan is memoized");
+        };
+        assert!(
+            std::sync::Arc::ptr_eq(&raced, &memo),
+            "both sides must observe the one published plan"
+        );
+        let stats = registry.stats();
+        assert_eq!(
+            stats.rebuilds + stats.disk_loads,
+            1,
+            "one key, one build: {stats:?}"
+        );
+        let served = server.stats();
+        assert!(served.cold_responses <= served.degraded_responses);
+    });
+}
+
+/// Shutdown with plan builds queued or in flight: `stop` returns, and
+/// both server threads are joined — neither still holds the registry
+/// once the server is dropped.
+#[test]
+fn stop_joins_dispatcher_and_builder_with_builds_pending() {
+    loom::model(|| {
+        let registry = std::sync::Arc::new(ScheduleRegistry::new(Gust::new(GustConfig::new(4))));
+        let mut server =
+            SpmvServer::start(std::sync::Arc::clone(&registry), ServeConfig::default());
+        let tickets: Vec<_> = (0..3)
+            .map(|seed| {
+                let matrix = CsrMatrix::from(&gen::uniform(12, 12, 40, 20 + seed));
+                let key = server.register(&matrix);
+                let x: Vec<f32> = (0..matrix.cols()).map(|i| i as f32).collect();
+                server.submit(0, key, x, None).expect("admission succeeds")
+            })
+            .collect();
+        server.stop();
+        for ticket in tickets {
+            ticket.wait().expect("admitted requests are answered");
+        }
+        let stats = registry.stats();
+        assert!(stats.rebuilds <= 3, "{stats:?}");
+        drop(server);
+        assert_eq!(
+            std::sync::Arc::strong_count(&registry),
+            1,
+            "a server thread outlived stop"
         );
     });
 }

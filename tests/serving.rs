@@ -30,7 +30,7 @@
 
 use gust::faults::{self, FaultPlan};
 use gust::prelude::*;
-use gust::serve::{reference_spmv_f64, BreakerPolicy, RetryPolicy, ScheduleRegistry};
+use gust::serve::{reference_spmv_f64, Acquired, BreakerPolicy, RetryPolicy, ScheduleRegistry};
 use gust_sparse::prelude::*;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -325,6 +325,9 @@ fn breaker_degrades_to_reference_and_recovers() {
         let _guard = faults::override_for_tests("sched_build:1");
         let server = SpmvServer::start(Arc::clone(&registry), ServeConfig::default());
         let key = server.register(&matrix);
+        // Plans are built off the dispatcher: run this one's failing
+        // build to completion so the breaker has opened before serving.
+        assert!(matches!(registry.acquire(key), Ok(Acquired::Degraded)));
         for _ in 0..3 {
             let resp = server
                 .call(0, key, x.clone())
@@ -341,6 +344,8 @@ fn breaker_degrades_to_reference_and_recovers() {
     std::thread::sleep(Duration::from_millis(2));
     let server = SpmvServer::start(Arc::clone(&registry), ServeConfig::default());
     let key = server.register(&matrix);
+    // The half-open probe's rebuild, made ready before serving.
+    assert!(matches!(registry.acquire(key), Ok(Acquired::Scheduled(_))));
     let resp = server.call(0, key, x.clone()).expect("recovered");
     assert_eq!(resp.output, expected);
     assert!(
@@ -419,6 +424,8 @@ fn injected_worker_panics_never_corrupt_responses() {
     std::thread::sleep(Duration::from_millis(2));
     let server = SpmvServer::start(Arc::clone(&registry), ServeConfig::default());
     let key = server.register(&matrix);
+    // The poisoned plan's rebuild, made ready before serving.
+    assert!(matches!(registry.acquire(key), Ok(Acquired::Scheduled(_))));
     let resp = server.call(0, key, vectors[0].clone()).expect("recovered");
     assert_eq!(resp.output, expected[0]);
     assert!(!resp.degraded, "fast path must return once panics stop");
@@ -466,4 +473,103 @@ fn cross_tenant_batching_preserves_per_tenant_results() {
         stats.batches <= stats.completed,
         "aggregation can only shrink the panel count: {stats:?}"
     );
+}
+
+/// A cold matrix's plan build never holds up a warm tenant. The cold
+/// build is made slow and repeatable — every attempt fails under
+/// `sched_build:1`, and the registry sleeps its retry backoff between
+/// attempts — and runs on the server's builder thread, so a warm request
+/// submitted right behind the cold one is answered at once, and the
+/// cold request is answered exactly by the reference kernel. Once a
+/// build succeeds, the cold matrix is served from its plan.
+#[test]
+fn warm_tenant_is_not_blocked_by_a_cold_build() {
+    // Ten jittered sleeps of up to 100 ms each: this registry's first
+    // cold build backs off well over `SLOW` in total (checked below).
+    const SLOW: Duration = Duration::from_millis(300);
+    let registry = Arc::new(
+        ScheduleRegistry::new(Gust::new(GustConfig::new(8))).with_retry(RetryPolicy {
+            attempts: 11,
+            base: Duration::from_millis(100),
+            cap: Duration::from_millis(100),
+        }),
+    );
+    let warm = int_matrix(24, 24, 90, 46);
+    let cold = int_matrix(32, 32, 140, 47);
+    let (xw, xc) = (int_vector(24, 5), int_vector(32, 6));
+    let warm_key = registry.insert(&warm);
+    {
+        let _guard = faults::override_for_tests("");
+        assert!(matches!(
+            registry.acquire(warm_key),
+            Ok(Acquired::Scheduled(_))
+        ));
+    }
+
+    {
+        let _guard = faults::override_for_tests("sched_build:1");
+        let server = SpmvServer::start(Arc::clone(&registry), ServeConfig::default());
+        let cold_key = server.register(&cold);
+        let start = Instant::now();
+        // Tenant 1 is scanned first, so the cold panel is dispatched
+        // before the warm one even when both are queued.
+        let cold_ticket = server.submit(1, cold_key, xc.clone(), None).expect("admit");
+        let warm_ticket = server.submit(2, warm_key, xw.clone(), None).expect("admit");
+        let warm_resp = warm_ticket.wait().expect("warm answer");
+        let cold_resp = cold_ticket.wait().expect("cold answer");
+        // Wait out the build: a blocking acquire takes the outcome of
+        // the attempt in flight (or runs it, if the builder has not
+        // started yet).
+        assert!(matches!(registry.acquire(cold_key), Ok(Acquired::Degraded)));
+        let build = start.elapsed();
+        assert!(
+            build >= SLOW,
+            "the cold build must back off at least {SLOW:?} (took {build:?})"
+        );
+
+        assert_eq!(warm_resp.output, warm.spmv(&xw));
+        assert!(!warm_resp.degraded, "the warm plan is memoized");
+        assert!(
+            warm_resp.latency < SLOW / 3,
+            "a warm request waited {:?} behind a {build:?} cold build",
+            warm_resp.latency
+        );
+        assert_eq!(cold_resp.output, cold.spmv(&xc), "cold answers are exact");
+        assert!(cold_resp.degraded, "a cold plan is not ready yet");
+
+        let stats = server.stats();
+        assert!(stats.cold_responses >= 1, "{stats:?}");
+        assert!(
+            stats.cold_responses <= stats.degraded_responses,
+            "{stats:?}"
+        );
+        assert_eq!(stats.submitted, stats.admitted + stats.shed);
+    }
+
+    // Faults cleared: the next cold request hands the build to the
+    // builder again, and this time it succeeds.
+    let _guard = faults::override_for_tests("");
+    let server = SpmvServer::start(Arc::clone(&registry), ServeConfig::default());
+    let cold_key = server.register(&cold);
+    let resp = server.call(1, cold_key, xc.clone()).expect("cold answer");
+    assert_eq!(resp.output, cold.spmv(&xc));
+    assert!(resp.degraded, "the failed build left no plan");
+    assert!(matches!(
+        registry.acquire(cold_key),
+        Ok(Acquired::Scheduled(_))
+    ));
+    let resp = server.call(1, cold_key, xc.clone()).expect("warm answer");
+    assert_eq!(resp.output, cold.spmv(&xc));
+    assert!(!resp.degraded, "a built plan serves the fast path");
+
+    assert_eq!(
+        registry.stats().rebuilds,
+        2,
+        "one build per matrix: {:?}",
+        registry.stats()
+    );
+    let stats = server.stats();
+    assert_eq!(stats.cold_responses, 1);
+    assert!(stats.cold_responses <= stats.degraded_responses);
+    assert_eq!(stats.submitted, stats.admitted + stats.shed);
 }
