@@ -2,8 +2,9 @@
 //! the scheduler (the paper's "Pre." cost), its three coloring algorithms,
 //! the load balancer, the execution engines (seed array-of-structs layout
 //! vs. the structure-of-arrays fast path, single and batched) and the
-//! reference SpMV kernels (seed scalar chain vs. the unrolled ones) — so
-//! every speedup this repo claims is measured, not asserted.
+//! reference SpMV kernels (seed scalar chain vs. the unrolled ones) and the
+//! Matrix Market reader — so every speedup this repo claims is measured,
+//! not asserted.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gust::hw::GustPipeline;
@@ -11,7 +12,8 @@ use gust::schedule::windows::WindowPlan;
 use gust::{ColoringAlgorithm, Gust, GustConfig, SchedulingPolicy};
 use gust_bench::legacy;
 use gust_bench::workloads::{synthetic, test_vector, SyntheticKind};
-use gust_sparse::{CscMatrix, CsrMatrix};
+use gust_sparse::io::{read_matrix_market, write_matrix_market};
+use gust_sparse::{gen, CscMatrix, CsrMatrix};
 use std::hint::black_box;
 
 fn bench_matrix() -> CsrMatrix {
@@ -117,11 +119,33 @@ fn reference_spmv(c: &mut Criterion) {
     group.finish();
 }
 
+fn matrix_market_parse(c: &mut Criterion) {
+    // ~100k entries in the two value forms real files use: small integers
+    // (the reader's hand-parsed path) and reals (std's float parser).
+    let coo = gen::uniform(8192, 8192, 100_000, 9);
+    let mut integer = String::from("%%MatrixMarket matrix coordinate integer general\n");
+    integer.push_str(&format!("{} {} {}\n", coo.rows(), coo.cols(), coo.nnz()));
+    for (k, (r, c, _)) in coo.iter().enumerate() {
+        integer.push_str(&format!("{} {} {}\n", r + 1, c + 1, k % 9 + 1));
+    }
+    let mut real = Vec::new();
+    write_matrix_market(&coo, &mut real).expect("write to vec");
+    let mut group = c.benchmark_group("matrix-market-parse");
+    group.sample_size(10);
+    for (name, text) in [("integer", integer.as_bytes()), ("real", real.as_slice())] {
+        group.bench_function(BenchmarkId::from_parameter(name), |b| {
+            b.iter(|| black_box(read_matrix_market(black_box(text)).expect("valid text")));
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     scheduling,
     load_balancing,
     execution,
-    reference_spmv
+    reference_spmv,
+    matrix_market_parse
 );
 criterion_main!(benches);

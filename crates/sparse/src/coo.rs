@@ -61,6 +61,21 @@ impl CooMatrix {
         }
     }
 
+    /// As [`CooMatrix::new`], with room for `capacity` entries reserved.
+    pub(crate) fn with_capacity(rows: usize, cols: usize, capacity: usize) -> Self {
+        let mut m = Self::new(rows, cols);
+        m.row_idx.reserve_exact(capacity);
+        m.col_idx.reserve_exact(capacity);
+        m.values.reserve_exact(capacity);
+        m
+    }
+
+    /// Entries the matrix can hold before it reallocates.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.row_idx.capacity()
+    }
+
     /// Builds a matrix from triplets, validating bounds and duplicates.
     ///
     /// # Errors

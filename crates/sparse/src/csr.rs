@@ -356,17 +356,22 @@ impl From<&CooMatrix> for CsrMatrix {
             values[slot] = vals[k];
             counts[r] += 1;
         }
+        // Unsorted rows are sorted through one scratch buffer reused by
+        // every row.
+        let mut scratch: Vec<(u32, f32)> = Vec::new();
         for r in 0..rows {
             let range = indptr[r]..indptr[r + 1];
-            let row_cols = &mut indices[range.clone()];
+            let (row_cols, row_vals) = (&mut indices[range.clone()], &mut values[range]);
             if row_cols.windows(2).any(|w| w[0] > w[1]) {
-                let mut perm: Vec<usize> = (0..row_cols.len()).collect();
-                perm.sort_unstable_by_key(|&i| row_cols[i]);
-                let sorted_cols: Vec<u32> = perm.iter().map(|&i| row_cols[i]).collect();
-                let row_vals = &values[range.clone()];
-                let sorted_vals: Vec<f32> = perm.iter().map(|&i| row_vals[i]).collect();
-                indices[range.clone()].copy_from_slice(&sorted_cols);
-                values[range].copy_from_slice(&sorted_vals);
+                scratch.clear();
+                scratch.extend(row_cols.iter().copied().zip(row_vals.iter().copied()));
+                scratch.sort_unstable_by_key(|&(c, _)| c);
+                for ((c, v), &(sc, sv)) in
+                    row_cols.iter_mut().zip(row_vals.iter_mut()).zip(&scratch)
+                {
+                    *c = sc;
+                    *v = sv;
+                }
             }
         }
         Self {

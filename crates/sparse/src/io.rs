@@ -10,6 +10,19 @@
 //! fields and `general`, `symmetric` or `skew-symmetric` symmetry. (This
 //! covers every matrix in the paper's evaluation.)
 //!
+//! # Matrix Market reader contract
+//!
+//! [`read_matrix_market`] streams its source: it reads fixed 256 KiB
+//! blocks into one reused buffer and parses entry lines in place, with no
+//! allocation per line. Its memory is bounded by the matrix it returns,
+//! plus that buffer (which grows only for a line longer than itself);
+//! the size line's `nnz` reserves at most 2^20 entries up front, so a
+//! forged count cannot force a large allocation. It accepts exactly the
+//! inputs that the earlier `BufRead::lines` + `str::split_whitespace`
+//! reader accepted, including Unicode whitespace, and it rejects invalid
+//! UTF-8 at the same line with the same error. Values are bit-identical to
+//! `str::parse::<f32>`, and entries come back in the same order.
+//!
 //! # Binary matrix cache
 //!
 //! Matrix Market is a text format: loading a multi-GB SuiteSparse matrix
@@ -29,7 +42,7 @@ use crate::coo::CooMatrix;
 use crate::csr::CsrMatrix;
 use crate::error::SparseError;
 use crate::faults;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// Parses a Matrix Market stream into a [`CooMatrix`].
@@ -54,11 +67,11 @@ use std::path::{Path, PathBuf};
 /// # Ok::<(), gust_sparse::SparseError>(())
 /// ```
 pub fn read_matrix_market<R: Read>(reader: R) -> Result<CooMatrix, SparseError> {
-    let mut lines = BufReader::new(reader).lines().enumerate();
+    let mut lines = MtxLines::new(reader);
 
     // Header line.
-    let (idx, header) = next_line(&mut lines)?;
-    let header_lc = header.to_ascii_lowercase();
+    let (idx, header) = lines.next_line()?;
+    let header_lc = utf8_line(header, idx)?.to_ascii_lowercase();
     let fields: Vec<&str> = header_lc.split_whitespace().collect();
     if fields.len() < 5 || fields[0] != "%%matrixmarket" || fields[1] != "matrix" {
         return Err(parse_err(idx, "expected '%%MatrixMarket matrix …' header"));
@@ -83,54 +96,243 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<CooMatrix, SparseError> 
     if !matches!(symmetry, "general" | "symmetric" | "skew-symmetric") {
         return Err(parse_err(idx, format!("unsupported symmetry '{symmetry}'")));
     }
+    let pattern = field_kind == "pattern";
+    let mirror = symmetry != "general";
+    let skew = symmetry == "skew-symmetric";
 
     // Size line (first non-comment line).
-    let (idx, size_line) = next_content_line(&mut lines)?;
-    let dims: Vec<&str> = size_line.split_whitespace().collect();
+    let (mut coo, nnz) = loop {
+        let (idx, line) = lines.next_line()?;
+        let line = utf8_line(line, idx)?.trim();
+        if !line.is_empty() && !line.starts_with('%') {
+            break parse_size_line(line, idx)?;
+        }
+    };
+
+    let mut seen = 0usize;
+    while seen < nnz {
+        let (idx, line) = lines.next_line()?;
+        let (r, c, value) = match plain_entry(line, pattern) {
+            Some(entry) => entry,
+            None => {
+                let line = utf8_line(line, idx)?.trim();
+                if line.is_empty() || line.starts_with('%') {
+                    continue;
+                }
+                parse_entry(line, pattern, idx)?
+            }
+        };
+        coo.push(r - 1, c - 1, value)?;
+        if mirror && r != c {
+            coo.push(c - 1, r - 1, if skew { -value } else { value })?;
+        }
+        seen += 1;
+    }
+    coo.check_duplicates()?;
+    Ok(coo)
+}
+
+/// Bytes [`read_matrix_market`] asks its source for per read.
+const MTX_BLOCK: usize = 256 << 10;
+
+/// Most entries [`read_matrix_market`] reserves from the size line's
+/// `nnz` before any entry arrives, so a forged count cannot force a huge
+/// allocation; beyond it the arrays grow as entries are read.
+const MTX_MAX_RESERVED: usize = 1 << 20;
+
+/// Parses the `rows cols nnz` size line into an empty matrix of that
+/// shape, with room reserved for up to [`MTX_MAX_RESERVED`] entries, and
+/// the declared `nnz`.
+fn parse_size_line(line: &str, idx: usize) -> Result<(CooMatrix, usize), SparseError> {
+    let dims: Vec<&str> = line.split_whitespace().collect();
     if dims.len() != 3 {
         return Err(parse_err(idx, "size line must be 'rows cols nnz'"));
     }
     let rows: usize = parse_num(dims[0], idx, "rows")?;
     let cols: usize = parse_num(dims[1], idx, "cols")?;
     let nnz: usize = parse_num(dims[2], idx, "nnz")?;
-
-    let mut coo = CooMatrix::new(rows, cols);
-    let mut seen = 0usize;
-    while seen < nnz {
-        let (idx, line) = next_content_line(&mut lines)?;
-        let parts: Vec<&str> = line.split_whitespace().collect();
-        let expected_parts = if field_kind == "pattern" { 2 } else { 3 };
-        if parts.len() < expected_parts {
-            return Err(parse_err(
-                idx,
-                format!("entry needs {expected_parts} fields, found {}", parts.len()),
-            ));
-        }
-        let r: usize = parse_num(parts[0], idx, "row index")?;
-        let c: usize = parse_num(parts[1], idx, "column index")?;
-        if r == 0 || c == 0 {
-            return Err(parse_err(idx, "matrix market indices are 1-based"));
-        }
-        let value: f32 = if field_kind == "pattern" {
-            1.0
-        } else {
-            parts[2]
-                .parse::<f32>()
-                .map_err(|e| parse_err(idx, format!("bad value '{}': {e}", parts[2])))?
-        };
-        coo.push(r - 1, c - 1, value)?;
-        if symmetry != "general" && r != c {
-            let mirrored = if symmetry == "skew-symmetric" {
-                -value
-            } else {
-                value
-            };
-            coo.push(c - 1, r - 1, mirrored)?;
-        }
-        seen += 1;
+    if rows == 0 || cols == 0 {
+        return Err(parse_err(
+            idx,
+            format!("matrix dimensions must be non-zero, got {rows}x{cols}"),
+        ));
     }
-    coo.check_duplicates()?;
-    Ok(coo)
+    if u32::try_from(rows).is_err() || u32::try_from(cols).is_err() {
+        return Err(parse_err(
+            idx,
+            format!("dimensions {rows}x{cols} exceed the u32 index range"),
+        ));
+    }
+    let coo = CooMatrix::with_capacity(rows, cols, nnz.min(MTX_MAX_RESERVED));
+    Ok((coo, nnz))
+}
+
+/// Parses a trimmed, non-comment entry line into its 1-based
+/// `(row, col, value)`.
+fn parse_entry(line: &str, pattern: bool, idx: usize) -> Result<(usize, usize, f32), SparseError> {
+    let expected = if pattern { 2 } else { 3 };
+    let mut parts = [""; 3];
+    let mut found = 0;
+    for token in line.split_whitespace().take(expected) {
+        parts[found] = token;
+        found += 1;
+    }
+    if found < expected {
+        return Err(parse_err(
+            idx,
+            format!("entry needs {expected} fields, found {found}"),
+        ));
+    }
+    let r: usize = parse_num(parts[0], idx, "row index")?;
+    let c: usize = parse_num(parts[1], idx, "column index")?;
+    if r == 0 || c == 0 {
+        return Err(parse_err(idx, "matrix market indices are 1-based"));
+    }
+    let value: f32 = if pattern {
+        1.0
+    } else {
+        parts[2]
+            .parse::<f32>()
+            .map_err(|e| parse_err(idx, format!("bad value '{}': {e}", parts[2])))?
+    };
+    Ok((r, c, value))
+}
+
+/// The common entry line, parsed straight from its bytes: ASCII, with
+/// row and column as plain non-zero digit runs that fit `usize`, and a
+/// value (unless `pattern`) that `str::parse::<f32>` accepts. Returns
+/// `None` for every other line, which [`parse_entry`] then reads — or
+/// skips or rejects — so both routes give the same entry, bit for bit.
+fn plain_entry(line: &[u8], pattern: bool) -> Option<(usize, usize, f32)> {
+    if !line.is_ascii() {
+        return None;
+    }
+    let mut rest = line;
+    let r = plain_index(next_token(&mut rest)?)?;
+    let c = plain_index(next_token(&mut rest)?)?;
+    if pattern {
+        return Some((r, c, 1.0));
+    }
+    let value = next_token(&mut rest)?;
+    if value.len() <= 7 && value.iter().all(u8::is_ascii_digit) {
+        // Below 2^24, so exact in f32: the bits `str::parse` returns.
+        let n = value
+            .iter()
+            .fold(0u32, |n, &b| n * 10 + u32::from(b - b'0'));
+        return Some((r, c, n as f32));
+    }
+    let value = std::str::from_utf8(value).ok()?.parse::<f32>().ok()?;
+    Some((r, c, value))
+}
+
+/// Splits the next whitespace-delimited token off the front of `rest`.
+fn next_token<'a>(rest: &mut &'a [u8]) -> Option<&'a [u8]> {
+    let start = rest.iter().position(|&b| !is_space(b))?;
+    let tail = &rest[start..];
+    let len = tail.iter().position(|&b| is_space(b)).unwrap_or(tail.len());
+    *rest = &tail[len..];
+    Some(&tail[..len])
+}
+
+/// A token of decimal digits as a non-zero `usize`, or `None` on any
+/// other byte, zero or overflow.
+fn plain_index(token: &[u8]) -> Option<usize> {
+    let n = token.iter().try_fold(0usize, |n, &b| {
+        let d = b.wrapping_sub(b'0');
+        if d > 9 {
+            return None;
+        }
+        n.checked_mul(10)?.checked_add(usize::from(d))
+    })?;
+    (n > 0).then_some(n)
+}
+
+/// The bytes below 0x80 that `char::is_whitespace` accepts: `\t`, `\n`,
+/// `\x0B`, `\x0C`, `\r` and space. (`u8::is_ascii_whitespace` omits
+/// `\x0B`.)
+fn is_space(b: u8) -> bool {
+    b == b' ' || (b'\t'..=b'\r').contains(&b)
+}
+
+/// A line as `str`, rejected the way `BufRead::lines` rejects invalid
+/// UTF-8.
+fn utf8_line(line: &[u8], idx: usize) -> Result<&str, SparseError> {
+    std::str::from_utf8(line)
+        .map_err(|_| parse_err(idx, "io error: stream did not contain valid UTF-8"))
+}
+
+/// Splits a byte stream into `\n`-terminated lines through one reused
+/// buffer, refilled [`MTX_BLOCK`] bytes at a time. A line cut by the end
+/// of a block is moved to the front and completed by the next read; the
+/// buffer grows only for a line longer than itself.
+struct MtxLines<R> {
+    source: R,
+    buf: Vec<u8>,
+    /// Unconsumed bytes are `buf[head..tail]`.
+    head: usize,
+    tail: usize,
+    eof: bool,
+    /// Number of the last line returned (1-based).
+    line: usize,
+}
+
+impl<R: Read> MtxLines<R> {
+    fn new(source: R) -> Self {
+        Self {
+            source,
+            buf: vec![0; MTX_BLOCK],
+            head: 0,
+            tail: 0,
+            eof: false,
+            line: 0,
+        }
+    }
+
+    /// The next line and its 1-based number, without the `\n`; a final
+    /// line without one still counts.
+    ///
+    /// # Errors
+    ///
+    /// [`SparseError::ParseError`] "unexpected end of file" at line 0
+    /// once the stream is exhausted, or wrapping a read failure.
+    fn next_line(&mut self) -> Result<(usize, &[u8]), SparseError> {
+        let mut scanned = self.head;
+        loop {
+            if let Some(len) = self.buf[scanned..self.tail]
+                .iter()
+                .position(|&b| b == b'\n')
+            {
+                let start = self.head;
+                self.head = scanned + len + 1;
+                self.line += 1;
+                return Ok((self.line, &self.buf[start..scanned + len]));
+            }
+            if self.eof {
+                if self.head == self.tail {
+                    return Err(parse_err(0, "unexpected end of file"));
+                }
+                let start = self.head;
+                self.head = self.tail;
+                self.line += 1;
+                return Ok((self.line, &self.buf[start..self.tail]));
+            }
+            if self.head > 0 {
+                self.buf.copy_within(self.head..self.tail, 0);
+                self.tail -= self.head;
+                self.head = 0;
+            }
+            scanned = self.tail;
+            if self.tail == self.buf.len() {
+                self.buf.resize(2 * self.buf.len(), 0);
+            }
+            match self.source.read(&mut self.buf[self.tail..]) {
+                Ok(0) => self.eof = true,
+                Ok(n) => self.tail += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(parse_err(self.line + 1, format!("io error: {e}"))),
+            }
+        }
+    }
 }
 
 /// Reads a Matrix Market file from `path`.
@@ -755,26 +957,6 @@ fn source_matches(mtx_path: &Path, source_len: Option<u64>, recorded: SourceFing
     }
 }
 
-type Lines<R> = std::iter::Enumerate<std::io::Lines<BufReader<R>>>;
-
-fn next_line<R: Read>(lines: &mut Lines<R>) -> Result<(usize, String), SparseError> {
-    match lines.next() {
-        Some((i, Ok(line))) => Ok((i + 1, line)),
-        Some((i, Err(e))) => Err(parse_err(i + 1, format!("io error: {e}"))),
-        None => Err(parse_err(0, "unexpected end of file")),
-    }
-}
-
-fn next_content_line<R: Read>(lines: &mut Lines<R>) -> Result<(usize, String), SparseError> {
-    loop {
-        let (idx, line) = next_line(lines)?;
-        let trimmed = line.trim();
-        if !trimmed.is_empty() && !trimmed.starts_with('%') {
-            return Ok((idx, trimmed.to_string()));
-        }
-    }
-}
-
 fn parse_num(token: &str, line: usize, what: &str) -> Result<usize, SparseError> {
     token
         .parse::<usize>()
@@ -867,6 +1049,69 @@ mod tests {
         let text = "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 abc\n";
         let err = read_matrix_market(text.as_bytes()).unwrap_err();
         assert!(err.to_string().contains("bad value"));
+    }
+
+    #[test]
+    fn rejects_zero_and_oversized_dimensions_at_the_size_line() {
+        for size in ["0 5 0", "5 0 0", "5 4294967296 0", "4294967296 5 0"] {
+            let text = format!("%%MatrixMarket matrix coordinate real general\n% c\n{size}\n");
+            match read_matrix_market(text.as_bytes()) {
+                Err(SparseError::ParseError { line: 3, .. }) => {}
+                other => panic!("size line '{size}': expected ParseError at line 3, got {other:?}"),
+            }
+        }
+        // The largest representable dimension is still accepted.
+        let text =
+            "%%MatrixMarket matrix coordinate real general\n1 4294967295 1\n1 4294967295 2\n";
+        assert_eq!(
+            read_matrix_market(text.as_bytes()).unwrap().cols(),
+            u32::MAX as usize
+        );
+    }
+
+    #[test]
+    fn hostile_nnz_reserves_at_most_the_cap() {
+        let (coo, nnz) = parse_size_line("3 3 99999999999999", 2).unwrap();
+        assert_eq!(nnz, 99_999_999_999_999);
+        assert!(
+            coo.capacity() <= MTX_MAX_RESERVED,
+            "reserved {} entries from a forged nnz",
+            coo.capacity()
+        );
+        let text = "%%MatrixMarket matrix coordinate real general\n3 3 99999999999999\n1 1 1.0\n";
+        let err = read_matrix_market(text.as_bytes()).unwrap_err();
+        assert!(
+            matches!(&err, SparseError::ParseError { message, .. } if message == "unexpected end of file"),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn lines_longer_than_a_block_are_carried_across_reads() {
+        // A comment line three blocks long, then entries split at every
+        // block boundary by a source that returns 7 bytes per read.
+        struct Trickle<'a>(&'a [u8]);
+        impl Read for Trickle<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                let n = buf.len().min(7).min(self.0.len());
+                buf[..n].copy_from_slice(&self.0[..n]);
+                self.0 = &self.0[n..];
+                Ok(n)
+            }
+        }
+        let mut text = String::from("%%MatrixMarket matrix coordinate real general\n%");
+        text.push_str(&"x".repeat(3 * MTX_BLOCK));
+        text.push_str("\n3 3 3\n1 1 1.5\n2 3 -2\n3 2 7");
+        for source in [
+            Box::new(text.as_bytes()) as Box<dyn Read>,
+            Box::new(Trickle(text.as_bytes())),
+        ] {
+            let m = read_matrix_market(source).unwrap();
+            assert_eq!(
+                m.raw_parts(),
+                (&[0, 1, 2][..], &[0, 2, 1][..], &[1.5, -2.0, 7.0][..])
+            );
+        }
     }
 
     #[test]

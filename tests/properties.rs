@@ -132,6 +132,21 @@ proptest! {
         prop_assert_eq!(CsrMatrix::from(&coo), matrix);
     }
 
+    /// COO -> CSR sorts each row however the entries arrive: a shuffled
+    /// `to_coo()` converts back to the same matrix.
+    #[test]
+    fn shuffled_coo_converts_to_the_same_csr(matrix in arb_matrix(), seed in 0u64..32) {
+        let coo = matrix.to_coo();
+        let perm = pseudo_permutation(coo.nnz(), seed);
+        let entries: Vec<_> = coo.iter().collect();
+        let mut shuffled = CooMatrix::new(matrix.rows(), matrix.cols());
+        for &k in perm.as_slice() {
+            let (r, c, v) = entries[k as usize];
+            shuffled.push(r, c, v).expect("in bounds");
+        }
+        prop_assert_eq!(CsrMatrix::from(&shuffled), matrix);
+    }
+
     /// All formats compute the same SpMV.
     #[test]
     fn formats_agree_on_spmv(matrix in arb_matrix()) {
