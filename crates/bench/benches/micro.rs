@@ -2,13 +2,15 @@
 //! the scheduler (the paper's "Pre." cost), its three coloring algorithms,
 //! the load balancer, the execution engines (seed array-of-structs layout
 //! vs. the structure-of-arrays fast path, single and batched) and the
-//! reference SpMV kernels (seed scalar chain vs. the unrolled ones) and the
-//! Matrix Market reader — so every speedup this repo claims is measured,
-//! not asserted.
+//! reference SpMV kernels (seed scalar chain vs. the unrolled ones), the
+//! Matrix Market reader, the registry's content hash (word lanes vs. the
+//! former byte-wise FNV-1a) and width-1 panels against the single-vector
+//! walk — so every speedup this repo claims is measured, not asserted.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gust::hw::GustPipeline;
 use gust::schedule::windows::WindowPlan;
+use gust::serve::ScheduleRegistry;
 use gust::{ColoringAlgorithm, Gust, GustConfig, SchedulingPolicy};
 use gust_bench::legacy;
 use gust_bench::workloads::{synthetic, test_vector, SyntheticKind};
@@ -140,12 +142,62 @@ fn matrix_market_parse(c: &mut Criterion) {
     group.finish();
 }
 
+fn register_hash(c: &mut Criterion) {
+    // The cold-registration shape of the serving benchmark: 8192² with
+    // 500k non-zeros. Re-inserting a registered matrix costs the content
+    // hash plus one uncontended lock (no clone, no plan build).
+    let m = CsrMatrix::from(&gen::uniform(8192, 8192, 500_000, 5));
+    let registry = ScheduleRegistry::new(Gust::new(GustConfig::new(256)));
+    registry.insert(&m);
+    let mut group = c.benchmark_group("register-hash");
+    group.sample_size(10);
+    group.bench_function("insert-word-lanes", |b| {
+        b.iter(|| black_box(registry.insert(black_box(&m))));
+    });
+    group.bench_function("fnv1a-bytes-legacy", |b| {
+        b.iter(|| black_box(legacy::legacy_fnv1a_content_hash(black_box(&m))));
+    });
+    group.finish();
+}
+
+fn width1_panel_vs_single(c: &mut Criterion) {
+    // A width-1 panel takes the single-vector walk, so each pair below
+    // should time alike; the width-2 panel is what one more vector costs
+    // in the register-block kernel.
+    let m = CsrMatrix::from(&gen::uniform(4096, 4096, 100_000, 6));
+    let gust = Gust::new(GustConfig::new(256).with_parallelism(Some(1)));
+    let flat = gust.schedule(&m);
+    let tiled = gust.schedule_tiled(&m);
+    let x = test_vector(m.cols());
+    let panel2 = gust_bench::workloads::shifted_panel(&x, 2, 0.125);
+    let mut group = c.benchmark_group("width1-panel-vs-single");
+    group.sample_size(20);
+    group.bench_function("flat-single", |b| {
+        b.iter(|| black_box(gust.execute(black_box(&flat), black_box(&x))));
+    });
+    group.bench_function("flat-width1-panel", |b| {
+        b.iter(|| black_box(gust.execute_batch(black_box(&flat), black_box(&x), 1)));
+    });
+    group.bench_function("flat-width2-panel", |b| {
+        b.iter(|| black_box(gust.execute_batch(black_box(&flat), black_box(&panel2), 2)));
+    });
+    group.bench_function("tiled-single", |b| {
+        b.iter(|| black_box(gust.execute_tiled(black_box(&tiled), black_box(&x))));
+    });
+    group.bench_function("tiled-width1-panel", |b| {
+        b.iter(|| black_box(gust.execute_batch_tiled(black_box(&tiled), black_box(&x), 1)));
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     scheduling,
     load_balancing,
     execution,
     reference_spmv,
-    matrix_market_parse
+    matrix_market_parse,
+    register_hash,
+    width1_panel_vs_single
 );
 criterion_main!(benches);

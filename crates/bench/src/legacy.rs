@@ -1,7 +1,8 @@
 //! The seed implementation's performance baselines, preserved verbatim:
 //! the `Vec<Vec<_>>` scheduling pipeline (for `schedule_throughput`) and
 //! the array-of-structs slot-at-a-time execution engine plus the scalar
-//! reference SpMV (for `spmv_throughput` and the micro benches).
+//! reference SpMV (for `spmv_throughput` and the micro benches), and the
+//! registry's byte-wise FNV-1a content hash (for the micro benches).
 //!
 //! The production scheduler in `gust::schedule` now colors windows into
 //! reusable flat buffers, and the production engine streams a
@@ -393,6 +394,37 @@ pub fn legacy_csr_spmv_f64(matrix: &CsrMatrix, x: &[f32]) -> Vec<f64> {
             acc
         })
         .collect()
+}
+
+/// The registry's former content hash, verbatim: FNV-1a 64 fed one byte
+/// at a time over the shape and the raw CSR arrays (`row_ptr` entries as
+/// 8 little-endian bytes, `col_idx` and value bits as 4). The
+/// `register-hash` micro bench measures `ScheduleRegistry::insert`'s word
+/// hash against this.
+#[must_use]
+pub fn legacy_fnv1a_content_hash(matrix: &CsrMatrix) -> u64 {
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut h = OFFSET;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(PRIME);
+        }
+    };
+    eat(&(matrix.rows() as u64).to_le_bytes());
+    eat(&(matrix.cols() as u64).to_le_bytes());
+    let (row_ptr, col_idx, values) = matrix.raw_parts();
+    for &p in row_ptr {
+        eat(&(p as u64).to_le_bytes());
+    }
+    for &c in col_idx {
+        eat(&c.to_le_bytes());
+    }
+    for &v in values {
+        eat(&v.to_bits().to_le_bytes());
+    }
+    h
 }
 
 #[cfg(test)]

@@ -61,6 +61,15 @@
 //! SIMD paths vectorize only the multiply-gathers (masked tail lanes
 //! included) and keep the scatter adds in slot order.
 //!
+//! A single vector is a width-1 panel, and every `execute_batch*` walk
+//! runs a width-1 panel through that single-vector walk (the f64 walk
+//! through a scalar slot-order loop) instead of a masked 1-lane register
+//! block: no interleave copy, no register-block scratch, and outputs
+//! bit-identical to [`Gust::execute`] (f64: to the scalar backend's
+//! panel) on every backend. Windows without a non-zero are skipped by
+//! every walk: the output starts zero-filled, so their dump would write
+//! nothing new.
+//!
 //! The batched walk is **generic over the element type** (the private
 //! [`Element`] trait, monomorphized for f32 and f64):
 //! [`Gust::execute_batch_f64`], [`Gust::execute_batch_banded_f64`] and
@@ -88,8 +97,8 @@ use crate::config::{GustConfig, SchedulingPolicy};
 use crate::error::GustError;
 use crate::kernels::{self, Backend};
 use crate::parallel::Pool;
-use crate::schedule::banded::BandedSchedule;
-use crate::schedule::scheduled::{log2_ceil, ScheduledMatrix};
+use crate::schedule::banded::{BandedSchedule, BandedWindow};
+use crate::schedule::scheduled::{log2_ceil, ScheduledMatrix, WindowSchedule};
 use crate::schedule::tiled::TiledSchedule;
 use crate::schedule::Scheduler;
 use crate::verify::{AuditReport, VerifiedSchedule, Violation};
@@ -144,12 +153,7 @@ const STAGE_SOURCE_BYTES: usize = 512 * 1024;
 /// reaches cache capacity at half the columns. Staging never changes
 /// results — the staged values are bit-copies — so this predicate is
 /// purely a performance decision.
-fn window_staged(
-    window: &crate::schedule::scheduled::WindowSchedule,
-    cols: usize,
-    bb: usize,
-    elem_bytes: usize,
-) -> bool {
+fn window_staged(window: &WindowSchedule, cols: usize, bb: usize, elem_bytes: usize) -> bool {
     window.has_column_reuse()
         && cols * bb * elem_bytes > STAGE_SOURCE_BYTES
         && 4 * window.gather_cols().len() <= cols
@@ -290,55 +294,16 @@ impl Gust {
     /// `x.len() != schedule.cols()`.
     pub fn try_execute(&self, schedule: &ScheduledMatrix, x: &[f32]) -> Result<GustRun, GustError> {
         self.check_single(schedule.length(), schedule.cols(), x.len())?;
-        let l = self.config.length();
 
-        let backend = self.backend();
         let mut y = vec![0.0f32; schedule.rows()];
-        let mut adders = vec![0.0f32; l];
-        let mut stage: Vec<f32> = Vec::new();
-
-        let row_perm = schedule.row_perm();
-        for (w, window) in schedule.windows().iter().enumerate() {
-            // Only the lanes this window's rows occupy are live: the final
-            // window of a matrix with `rows % l != 0` is ragged, and lanes
-            // past its row count are never scheduled (row_mod < active) nor
-            // dumped.
-            let active = schedule.window_rows(w);
-            adders[..active].fill(0.0);
-
-            // The streaming pass: color-major slot order means each adder
-            // sees its products in color order, so this flat walk is
-            // bit-identical to the per-cycle walk — under every backend,
-            // because the kernels only vectorize the multiply-gathers and
-            // keep the scatter into `adders` in slot order. Windows whose
-            // reused columns compact a larger-than-cache `x` first gather
-            // their distinct entries into a dense window-local stage
-            // (same values, so still bit-identical) and index it through
-            // the compacted `local_cols`.
-            let (idx, operands): (&[u32], &[f32]) =
-                if window_staged(window, x.len(), 1, std::mem::size_of::<f32>()) {
-                    stage.resize(window.gather_cols().len(), 0.0);
-                    kernels::gather(backend, x, window.gather_cols(), &mut stage);
-                    (window.local_cols(), &stage)
-                } else {
-                    (window.cols(), x)
-                };
-            kernels::window_walk(
-                backend,
-                window.values(),
-                idx,
-                window.row_mods(),
-                operands,
-                &mut adders,
-            );
-
-            // Dump: adder `i` holds the row scheduled at position w*l + i.
-            let base = w * l;
-            for (i, &acc) in adders[..active].iter().enumerate() {
-                y[row_perm[base + i] as usize] = acc;
-            }
-        }
-
+        walk_single(
+            self.backend(),
+            schedule.length(),
+            schedule.windows().iter(),
+            schedule.row_perm(),
+            x,
+            &mut y,
+        );
         Ok(GustRun {
             output: y,
             report: self.analytic_report(schedule, 1),
@@ -467,7 +432,9 @@ impl Gust {
     /// Blocks split across threads when [`GustConfig::with_parallelism`]
     /// allows. Under the scalar backend, outputs are bit-identical to the
     /// per-vector scalar path; under AVX2 each accumulate fuses into an
-    /// FMA and matches within the documented ULP bound.
+    /// FMA and matches within the documented ULP bound. A width-1 panel
+    /// (`batch == 1`) runs [`Gust::execute`]'s single-vector walk and is
+    /// bit-identical to it under every backend.
     ///
     /// # Example
     ///
@@ -526,7 +493,9 @@ impl Gust {
     /// the doubled element width. Under the scalar backend outputs are
     /// bit-identical to a scalar double-precision reference walk in slot
     /// order; AVX-512 fuses each accumulate into an FMA within the usual
-    /// contraction bound, now at `f64` precision.
+    /// contraction bound, now at `f64` precision. A width-1 panel runs
+    /// the scalar slot-order single-vector walk on every backend, so it
+    /// is bit-identical to the scalar backend's result.
     ///
     /// # Panics
     ///
@@ -572,9 +541,21 @@ impl Gust {
         let cols = schedule.cols();
 
         let backend = self.backend();
-        let rb = E::reg_block(backend);
         let rows = schedule.rows();
         let mut y = vec![E::ZERO; rows * batch];
+        let report = self.analytic_report(schedule, batch as u64);
+        if batch == 1 {
+            walk_single(
+                backend,
+                schedule.length(),
+                schedule.windows().iter(),
+                schedule.row_perm(),
+                b,
+                &mut y,
+            );
+            return Ok((y, report));
+        }
+        let rb = E::reg_block(backend);
         let blocks = batch.div_ceil(rb);
         let workers = self.batch_workers(blocks);
         // Decide staging once per window, at the full register-block
@@ -613,7 +594,7 @@ impl Gust {
             },
         );
 
-        Ok((y, self.analytic_report(schedule, batch as u64)))
+        Ok((y, report))
     }
 
     /// Preprocesses `matrix` into a cache-blocked [`BandedSchedule`]
@@ -884,11 +865,8 @@ impl Gust {
     ) -> Result<GustRun, GustError> {
         self.check_single(schedule.length(), schedule.cols(), x.len())?;
 
-        let backend = self.backend();
         let mut y = vec![0.0f32; schedule.rows()];
-        for (t, tile) in schedule.tiles().iter().enumerate() {
-            banded_walk_single(backend, tile, x, &mut y[schedule.tile_range(t)]);
-        }
+        tiled_walk_single(self.backend(), schedule, x, &mut y);
         Ok(GustRun {
             output: y,
             report: self.tiled_report(schedule, 1),
@@ -984,9 +962,14 @@ impl Gust {
         let cols = schedule.cols();
 
         let backend = self.backend();
-        let rb = E::reg_block(backend);
         let rows = schedule.rows();
         let mut y = vec![E::ZERO; rows * batch];
+        let report = self.banded_report(schedule, batch as u64);
+        if batch == 1 {
+            banded_walk_single(backend, schedule, b, &mut y);
+            return Ok((y, report));
+        }
+        let rb = E::reg_block(backend);
         let workers = self.batch_workers(batch.div_ceil(rb));
         // With a single band, banding is vacuous and the walk takes the
         // unbanded per-window path, including its staging decisions
@@ -1032,7 +1015,7 @@ impl Gust {
             },
         );
 
-        Ok((y, self.banded_report(schedule, batch as u64)))
+        Ok((y, report))
     }
 
     /// Batched SpMV over a 2D row×column [`TiledSchedule`] — the full 2D
@@ -1124,9 +1107,14 @@ impl Gust {
         let cols = schedule.cols();
 
         let backend = self.backend();
-        let rb = E::reg_block(backend);
         let rows = schedule.rows();
         let mut y = vec![E::ZERO; rows * batch];
+        let report = self.tiled_report(schedule, batch as u64);
+        if batch == 1 {
+            tiled_walk_single(backend, schedule, b, &mut y);
+            return Ok((y, report));
+        }
+        let rb = E::reg_block(backend);
         let workers = self.batch_workers(batch.div_ceil(rb));
         // Per-tile staging decisions, mirroring [`Gust::execute_batch_banded`]:
         // a single-band tile takes the unbanded per-window path with the
@@ -1193,7 +1181,7 @@ impl Gust {
             },
         );
 
-        Ok((y, self.tiled_report(schedule, batch as u64)))
+        Ok((y, report))
     }
 
     /// Worker threads for a batched run over `blocks` register blocks
@@ -1337,6 +1325,21 @@ pub(crate) trait Element:
         acc: &mut [Self],
         bb: usize,
     );
+    /// The single-vector window walk at this precision
+    /// ([`kernels::window_walk`] / the scalar [`kernels::panel_walk_f64`]
+    /// at width 1): the width-1 panel, in slot order and without FMA.
+    fn window_walk(
+        backend: Backend,
+        values: &[f32],
+        idx: &[u32],
+        row_mods: &[u32],
+        operands: &[Self],
+        adders: &mut [Self],
+    );
+    /// The single-vector operand stage at this precision:
+    /// `dst[i] = src[idx[i]]` ([`kernels::gather`] /
+    /// [`kernels::stage_panel_f64`] at width 1).
+    fn gather(backend: Backend, src: &[Self], idx: &[u32], dst: &mut [Self]);
     /// The window-local panel stage at this precision
     /// ([`kernels::stage_panel`] / [`kernels::stage_panel_f64`]).
     fn stage_panel(
@@ -1372,6 +1375,21 @@ impl Element for f32 {
         bb: usize,
     ) {
         kernels::panel_walk(backend, values, idx, row_mods, operands, acc, bb);
+    }
+
+    fn window_walk(
+        backend: Backend,
+        values: &[f32],
+        idx: &[u32],
+        row_mods: &[u32],
+        operands: &[Self],
+        adders: &mut [Self],
+    ) {
+        kernels::window_walk(backend, values, idx, row_mods, operands, adders);
+    }
+
+    fn gather(backend: Backend, src: &[Self], idx: &[u32], dst: &mut [Self]) {
+        kernels::gather(backend, src, idx, dst);
     }
 
     fn stage_panel(
@@ -1413,6 +1431,21 @@ impl Element for f64 {
         bb: usize,
     ) {
         kernels::panel_walk_f64(backend, values, idx, row_mods, operands, acc, bb);
+    }
+
+    fn window_walk(
+        _backend: Backend,
+        values: &[f32],
+        idx: &[u32],
+        row_mods: &[u32],
+        operands: &[Self],
+        adders: &mut [Self],
+    ) {
+        kernels::panel_walk_f64(Backend::Scalar, values, idx, row_mods, operands, adders, 1);
+    }
+
+    fn gather(backend: Backend, src: &[Self], idx: &[u32], dst: &mut [Self]) {
+        kernels::stage_panel_f64(backend, src, src.len(), 0, 1, idx, dst);
     }
 
     fn stage_panel(
@@ -1486,15 +1519,72 @@ impl<E> BlockScratch<E> {
     }
 }
 
+/// The single-vector walk over a run of windows — the width-1 panel of
+/// a flat schedule or of a single-band banded one: one hot adder bank
+/// reused across windows, each window dumped as it finishes through its
+/// chunk of `row_perm` (`l` rows; fewer in a ragged final window, whose
+/// lanes past its row count are never scheduled nor dumped) into `y`.
+///
+/// Color-major slot order means each adder sees its products in color
+/// order, so this flat walk is bit-identical to the per-cycle walk —
+/// under every backend, because the kernels only vectorize the
+/// multiply-gathers and keep the scatter into `adders` in slot order.
+/// Windows whose reused columns compact a larger-than-cache `x` first
+/// gather their distinct entries into a dense window-local stage (same
+/// values, so still bit-identical) and index it through the compacted
+/// `local_cols`. Empty windows are skipped: `y` starts zero-filled, and
+/// their dump would only write those zeros again.
+fn walk_single<'a, E: Element>(
+    backend: Backend,
+    l: usize,
+    windows: impl Iterator<Item = &'a WindowSchedule>,
+    row_perm: &[u32],
+    x: &[E],
+    y: &mut [E],
+) {
+    let mut adders = vec![E::ZERO; l];
+    let mut stage = Vec::new();
+    for (window, perm) in windows.zip(row_perm.chunks(l)) {
+        if window.nnz() == 0 {
+            continue;
+        }
+        adders[..perm.len()].fill(E::ZERO);
+        let (idx, operands): (&[u32], &[E]) = if window_staged(window, x.len(), 1, E::BYTES) {
+            stage.resize(window.gather_cols().len(), E::ZERO);
+            E::gather(backend, x, window.gather_cols(), &mut stage);
+            (window.local_cols(), &stage)
+        } else {
+            (window.cols(), x)
+        };
+        E::window_walk(
+            backend,
+            window.values(),
+            idx,
+            window.row_mods(),
+            operands,
+            &mut adders,
+        );
+        for (&row, &acc) in perm.iter().zip(&adders) {
+            y[row as usize] = acc;
+        }
+    }
+}
+
 /// The single-vector banded band sweep: walks `schedule` (a whole
 /// matrix's banded schedule, or one tile of a [`TiledSchedule`]) against
-/// `x`, writing the permuted outputs into `y` (`schedule.rows()` long —
-/// for a tile, the tile's slice of the full output). Bands outer,
-/// windows inner, every window's adders carrying partial sums across
-/// bands; per adder the product order is the merged window's slot order,
-/// which keeps the output bit-identical to the unbanded engine on
-/// [`BandedSchedule::to_unbanded`] (see [`crate::schedule::banded`]).
-fn banded_walk_single(backend: Backend, schedule: &BandedSchedule, x: &[f32], y: &mut [f32]) {
+/// `x`, writing the permuted outputs into the zeroed `y`
+/// (`schedule.rows()` long — for a tile, the tile's slice of the full
+/// output). Bands outer, windows inner, every window's adders carrying
+/// partial sums across bands; per adder the product order is the merged
+/// window's slot order, which keeps the output bit-identical to the
+/// unbanded engine on [`BandedSchedule::to_unbanded`] (see
+/// [`crate::schedule::banded`]).
+fn banded_walk_single<E: Element>(
+    backend: Backend,
+    schedule: &BandedSchedule,
+    x: &[E],
+    y: &mut [E],
+) {
     let l = schedule.length();
     let window_count = schedule.windows().len();
     debug_assert_eq!(y.len(), schedule.rows());
@@ -1502,44 +1592,23 @@ fn banded_walk_single(backend: Backend, schedule: &BandedSchedule, x: &[f32], y:
 
     if schedule.bands().count() == 1 {
         // Single band (cache-resident shapes under the auto budget):
-        // banding is vacuous, so take the unbanded [`Gust::execute`]
-        // shape — one hot adder bank reused across windows, dump as
-        // each window finishes, and the same per-window staging
-        // decisions. Staging copies values and the per-window slot
-        // order is unchanged, so the output stays bit-identical to
-        // the multi-band walk.
-        let mut adders = vec![0.0f32; l];
-        let mut stage: Vec<f32> = Vec::new();
-        for (w, banded) in schedule.windows().iter().enumerate() {
-            let window = banded.window();
-            let active = schedule.window_rows(w);
-            adders[..active].fill(0.0);
-            let (idx, operands): (&[u32], &[f32]) =
-                if window_staged(window, x.len(), 1, std::mem::size_of::<f32>()) {
-                    stage.resize(window.gather_cols().len(), 0.0);
-                    kernels::gather(backend, x, window.gather_cols(), &mut stage);
-                    (window.local_cols(), &stage)
-                } else {
-                    (window.cols(), x)
-                };
-            kernels::window_walk(
-                backend,
-                window.values(),
-                idx,
-                window.row_mods(),
-                operands,
-                &mut adders,
-            );
-            let base = w * l;
-            for (i, &acc) in adders[..active].iter().enumerate() {
-                y[row_perm[base + i] as usize] = acc;
-            }
-        }
+        // banding is vacuous, so take the flat walk, with the same
+        // per-window staging decisions. Staging copies values and the
+        // per-window slot order is unchanged, so the output stays
+        // bit-identical to the multi-band walk.
+        walk_single(
+            backend,
+            l,
+            schedule.windows().iter().map(BandedWindow::window),
+            row_perm,
+            x,
+            y,
+        );
         return;
     }
 
     // One adder bank per window, all carried across the band sweep.
-    let mut adders = vec![0.0f32; window_count * l];
+    let mut adders = vec![E::ZERO; window_count * l];
     for b in 0..schedule.bands().count() {
         let range = schedule.bands().range(b);
         let xs = &x[range.start as usize..range.end as usize];
@@ -1548,7 +1617,7 @@ fn banded_walk_single(backend: Backend, schedule: &BandedSchedule, x: &[f32], y:
             if slots.is_empty() {
                 continue;
             }
-            kernels::window_walk(
+            E::window_walk(
                 backend,
                 &window.window().values()[slots.clone()],
                 &window.local_cols()[slots.clone()],
@@ -1559,12 +1628,24 @@ fn banded_walk_single(backend: Backend, schedule: &BandedSchedule, x: &[f32], y:
         }
     }
 
-    for w in 0..window_count {
-        let active = schedule.window_rows(w);
-        let base = w * l;
-        for (i, &acc) in adders[base..base + active].iter().enumerate() {
-            y[row_perm[base + i] as usize] = acc;
+    // Dump every non-empty window (an empty one would write zeros into
+    // the zeroed `y`) through its chunk of the row permutation.
+    let banks = adders.chunks(l).zip(row_perm.chunks(l));
+    for (window, (bank, perm)) in schedule.windows().iter().zip(banks) {
+        if window.nnz() == 0 {
+            continue;
         }
+        for (&row, &acc) in perm.iter().zip(bank) {
+            y[row as usize] = acc;
+        }
+    }
+}
+
+/// The single-vector walk of a [`TiledSchedule`]: each row tile runs
+/// [`banded_walk_single`] on its slice of the zeroed `y`.
+fn tiled_walk_single<E: Element>(backend: Backend, schedule: &TiledSchedule, x: &[E], y: &mut [E]) {
+    for (t, tile) in schedule.tiles().iter().enumerate() {
+        banded_walk_single(backend, tile, x, &mut y[schedule.tile_range(t)]);
     }
 }
 
@@ -1604,6 +1685,10 @@ fn run_block<E: Element>(
 
     let row_perm = schedule.row_perm();
     for (w, window) in schedule.windows().iter().enumerate() {
+        // An empty window's dump would write zeros into the zeroed block.
+        if window.nnz() == 0 {
+            continue;
+        }
         let active = schedule.window_rows(w);
         scratch.acc[..active * bb].fill(E::ZERO);
         // Staged windows gather their distinct columns once per block
@@ -1695,6 +1780,9 @@ fn run_block_banded<E: Element>(
         }
         scratch.acc.resize(l * bb, E::ZERO);
         for (w, banded) in schedule.windows().iter().enumerate() {
+            if banded.nnz() == 0 {
+                continue;
+            }
             let window = banded.window();
             let active = schedule.window_rows(w);
             scratch.acc[..active * bb].fill(E::ZERO);
@@ -1768,9 +1856,12 @@ fn run_block_banded<E: Element>(
         }
     }
 
-    // Dump every window's active lanes through the row permutation into
-    // each output column.
-    for w in 0..window_count {
+    // Dump every non-empty window's active lanes through the row
+    // permutation into each output column.
+    for (w, window) in schedule.windows().iter().enumerate() {
+        if window.nnz() == 0 {
+            continue;
+        }
         let active = schedule.window_rows(w);
         let base = w * l;
         kernels::scatter_panel(
@@ -2309,6 +2400,116 @@ mod tests {
             &reference_spmv(&m, &x),
             1e-4,
         );
+    }
+
+    /// The scalar backend's f64 register-block panel at width 1 over a
+    /// flat schedule — the kernel width-1 panels ran before they took
+    /// the single-vector walk.
+    fn scalar_f64_panel(schedule: &ScheduledMatrix, b: &[f64]) -> Vec<f64> {
+        let cols = schedule.cols();
+        let flags: Vec<bool> = schedule
+            .windows()
+            .iter()
+            .map(|w| window_staged(w, cols, 1, 8))
+            .collect();
+        let mut y = vec![0.0; schedule.rows()];
+        let mut scratch = BlockScratch::default();
+        run_block(
+            Backend::Scalar,
+            schedule,
+            b,
+            0,
+            1,
+            &flags,
+            true,
+            &mut y,
+            &mut scratch,
+        );
+        y
+    }
+
+    /// [`scalar_f64_panel`] over a banded schedule written at rows
+    /// `row0..` of a `rows_total`-row output (one tile of a tiled plan).
+    fn scalar_f64_panel_banded(schedule: &BandedSchedule, b: &[f64], row0: usize, y: &mut [f64]) {
+        let cols = schedule.cols();
+        let single_band = schedule.bands().count() == 1;
+        let flags: Vec<bool> = schedule
+            .windows()
+            .iter()
+            .map(|w| single_band && window_staged(w.window(), cols, 1, 8))
+            .collect();
+        let rows_total = y.len();
+        let mut scratch = BlockScratch::default();
+        run_block_banded(
+            Backend::Scalar,
+            schedule,
+            b,
+            0,
+            1,
+            &flags,
+            PanelSource::Interleave,
+            row0,
+            rows_total,
+            y,
+            &mut scratch,
+        );
+    }
+
+    #[test]
+    fn f64_width1_walks_are_bit_identical_to_the_scalar_f64_panel() {
+        use crate::schedule::{banded::ColumnBands, Scheduler};
+        // 40 rows on 40 hub columns of 70 000: every window reuses its
+        // columns and an f64 operand vector passes the staging footprint.
+        let hubs = CooMatrix::from_triplets(
+            40,
+            70_000,
+            (0..40usize).flat_map(|r| {
+                (0..10usize).map(move |k| (r, (r * 7 + k * 13) % 40 * 1733, 0.25 + k as f32))
+            }),
+        )
+        .unwrap();
+        for (name, coo) in [
+            ("ragged", gen::uniform(61, 70, 420, 51)),
+            ("power-law", gen::power_law(64, 64, 500, 1.8, 52)),
+            ("staged", hubs),
+        ] {
+            let m = CsrMatrix::from(&coo);
+            let x: Vec<f64> = random_x(m.cols(), 8).into_iter().map(f64::from).collect();
+            for backend in [Backend::Scalar, Backend::Avx2, Backend::Avx512] {
+                if !backend.is_available() {
+                    continue;
+                }
+                let tag = format!("{name} / {}", backend.name());
+                let gust = Gust::new(
+                    GustConfig::new(8)
+                        .with_backend(Some(backend))
+                        .with_cache_budget(Some(1 << 30)),
+                );
+                let scheduler = Scheduler::new(gust.config().clone());
+                let flat = gust.schedule(&m);
+                let (y, _) = gust.execute_batch_f64(&flat, &x, 1);
+                assert_eq!(y, scalar_f64_panel(&flat, &x), "{tag}: flat");
+
+                for bands in [1usize, 5] {
+                    let banded = scheduler
+                        .schedule_banded_with(&m, ColumnBands::with_count(m.cols(), bands));
+                    let (y, _) = gust.execute_batch_banded_f64(&banded, &x, 1);
+                    let mut want = vec![0.0; m.rows()];
+                    scalar_f64_panel_banded(&banded, &x, 0, &mut want);
+                    assert_eq!(y, want, "{tag}: {bands} bands");
+                }
+
+                let tiled =
+                    scheduler.schedule_tiled_with(&m, 3, ColumnBands::with_count(m.cols(), 4));
+                assert!(tiled.tile_count() > 1);
+                let (y, _) = gust.execute_batch_tiled_f64(&tiled, &x, 1);
+                let mut want = vec![0.0; m.rows()];
+                for (t, tile) in tiled.tiles().iter().enumerate() {
+                    scalar_f64_panel_banded(tile, &x, tiled.tile_range(t).start, &mut want);
+                }
+                assert_eq!(y, want, "{tag}: tiled");
+            }
+        }
     }
 
     #[test]

@@ -115,10 +115,10 @@ pub fn reference_spmv_f64(matrix: &CsrMatrix, x: &[f64]) -> Vec<f64> {
 
 /// Content-hash identity of a registered matrix.
 ///
-/// The key is an FNV-1a 64 digest of the CSR structure (shape plus raw
-/// `row_ptr` / `col_idx` / `values` bytes), so registering the same
-/// matrix twice — even from different loads of the same file — yields
-/// the same key and shares one schedule.
+/// The key is a 64-bit word hash of the CSR structure (shape, non-zero
+/// count, and the raw `row_ptr` / `col_idx` / value-bit arrays), so
+/// registering the same matrix twice — even from different loads of the
+/// same file — yields the same key and shares one schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MatrixKey(u64);
 
@@ -130,30 +130,89 @@ impl MatrixKey {
     }
 }
 
-/// FNV-1a 64 over the matrix's shape and raw CSR arrays.
-fn content_hash(matrix: &CsrMatrix) -> MatrixKey {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(PRIME);
+/// Four independent multiply-rotate lanes over 64-bit words (the
+/// xxHash64 round). Word `i` of a run feeds lane `i % 4`, so the four
+/// dependency chains overlap in the pipeline; each round is a bijection
+/// of its lane for a fixed word and of the word for a fixed lane, so a
+/// change to any single word always changes the digest.
+struct WordHasher {
+    lanes: [u64; 4],
+}
+
+impl WordHasher {
+    const P1: u64 = 0x9e37_79b1_85eb_ca87;
+    const P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+
+    fn new() -> Self {
+        Self {
+            lanes: [
+                Self::P1.wrapping_add(Self::P2),
+                Self::P2,
+                0,
+                Self::P1.wrapping_neg(),
+            ],
         }
-    };
-    eat(&(matrix.rows() as u64).to_le_bytes());
-    eat(&(matrix.cols() as u64).to_le_bytes());
+    }
+
+    fn round(lane: u64, word: u64) -> u64 {
+        lane.wrapping_add(word.wrapping_mul(Self::P2))
+            .rotate_left(31)
+            .wrapping_mul(Self::P1)
+    }
+
+    /// Absorbs `data` packed `K` items per word by `word` (which also
+    /// packs a shorter final chunk): word `i` of the run feeds lane
+    /// `i % 4`, four words per straight-line step. Every run starts again
+    /// at lane 0; run lengths follow from the shape words hashed first,
+    /// so restarting is unambiguous.
+    fn absorb<T, const K: usize>(&mut self, data: &[T], word: impl Fn(&[T]) -> u64) {
+        let [mut a, mut b, mut c, mut d] = self.lanes;
+        let mut quads = data.chunks_exact(4 * K);
+        for q in &mut quads {
+            a = Self::round(a, word(&q[..K]));
+            b = Self::round(b, word(&q[K..2 * K]));
+            c = Self::round(c, word(&q[2 * K..3 * K]));
+            d = Self::round(d, word(&q[3 * K..]));
+        }
+        // The remainder holds at most 4*K - 1 items, so at most four
+        // words: one per lane.
+        let tail = quads.remainder().chunks(K).map(word);
+        for (lane, w) in [&mut a, &mut b, &mut c, &mut d].into_iter().zip(tail) {
+            *lane = Self::round(*lane, w);
+        }
+        self.lanes = [a, b, c, d];
+    }
+
+    fn finish(self) -> u64 {
+        let [a, b, c, d] = self.lanes;
+        splitmix64_mix(
+            a.rotate_left(1)
+                .wrapping_add(b.rotate_left(7))
+                .wrapping_add(c.rotate_left(12))
+                .wrapping_add(d.rotate_left(18)),
+        )
+    }
+}
+
+/// Up to two 32-bit items as one little-endian 64-bit word; the missing
+/// high half of an odd tail is zero.
+fn pair_word<T: Copy>(pair: &[T], bits: impl Fn(T) -> u32) -> u64 {
+    u64::from(bits(pair[0])) | pair.get(1).map_or(0, |&hi| u64::from(bits(hi)) << 32)
+}
+
+/// The [`WordHasher`] digest of the matrix's shape, non-zero count and
+/// raw CSR arrays: `row_ptr` one word per entry, `col_idx` and the value
+/// bits two entries per word.
+fn content_hash(matrix: &CsrMatrix) -> MatrixKey {
     let (row_ptr, col_idx, values) = matrix.raw_parts();
-    for &p in row_ptr {
-        eat(&(p as u64).to_le_bytes());
-    }
-    for &c in col_idx {
-        eat(&c.to_le_bytes());
-    }
-    for &v in values {
-        eat(&v.to_bits().to_le_bytes());
-    }
-    MatrixKey(h)
+    let mut h = WordHasher::new();
+    h.absorb::<_, 1>(&[matrix.rows(), matrix.cols(), values.len()], |n| {
+        n[0] as u64
+    });
+    h.absorb::<_, 1>(row_ptr, |p| p[0] as u64);
+    h.absorb::<_, 2>(col_idx, |p| pair_word(p, |c| c));
+    h.absorb::<_, 2>(values, |p| pair_word(p, f32::to_bits));
+    MatrixKey(h.finish())
 }
 
 /// splitmix64 step — the registry's deterministic jitter source (no
@@ -1591,7 +1650,7 @@ fn execute_panel<T: Copy>(
         }
     }
 
-    let outputs = outputs.unwrap_or_else(|| {
+    let mut outputs = outputs.unwrap_or_else(|| {
         let mut y: Vec<T> = Vec::with_capacity(rows * batch);
         for r in &live {
             y.extend_from_slice(&reference(matrix.as_ref(), &r.x));
@@ -1611,7 +1670,12 @@ fn execute_panel<T: Copy>(
     });
 
     for (j, r) in live.into_iter().enumerate() {
-        let output = outputs[j * rows..(j + 1) * rows].to_vec();
+        // A width-1 panel's output is the response: move it, don't copy.
+        let output = if batch == 1 {
+            std::mem::take(&mut outputs)
+        } else {
+            outputs[j * rows..(j + 1) * rows].to_vec()
+        };
         shared.bump(|s| s.completed += 1);
         let delivered = r.slot.complete(Ok(Response {
             output,
@@ -1712,6 +1776,121 @@ mod tests {
         let c = small_matrix(2);
         assert_eq!(content_hash(&a), content_hash(&b));
         assert_ne!(content_hash(&a), content_hash(&c));
+
+        // One change at a time to a 4×5 matrix: every variant gets its
+        // own key. Nine entries leave an odd tail in the two-per-word
+        // arrays, so the padded half-word is covered too.
+        let csr = |rows, cols, row_ptr: &[usize], col_idx: &[u32], values: &[f32]| {
+            CsrMatrix::try_new(
+                rows,
+                cols,
+                row_ptr.to_vec(),
+                col_idx.to_vec(),
+                values.to_vec(),
+            )
+            .unwrap()
+        };
+        let row_ptr = [0, 3, 5, 5, 9];
+        let col_idx = [0, 2, 4, 1, 3, 0, 1, 2, 4];
+        let values = [1.0, 0.0, 2.0, -3.0, 4.0, 5.0, 6.0, 7.0, 8.0];
+        let mut last_value_bit = values;
+        last_value_bit[8] = f32::from_bits(8.0f32.to_bits() ^ 1);
+        let mut negative_zero = values;
+        negative_zero[1] = -0.0;
+        let mut moved_col = col_idx;
+        moved_col[4] = 4;
+        let base = csr(4, 5, &row_ptr, &col_idx, &values);
+        let variants = [
+            ("value bit", csr(4, 5, &row_ptr, &col_idx, &last_value_bit)),
+            ("0.0 vs -0.0", csr(4, 5, &row_ptr, &col_idx, &negative_zero)),
+            ("col_idx", csr(4, 5, &row_ptr, &moved_col, &values)),
+            (
+                "row_ptr split",
+                csr(4, 5, &[0, 3, 5, 7, 9], &col_idx, &values),
+            ),
+            ("cols", csr(4, 6, &row_ptr, &col_idx, &values)),
+            ("rows", csr(5, 5, &[0, 3, 5, 5, 9, 9], &col_idx, &values)),
+        ];
+        let mut keys = std::collections::HashSet::from([content_hash(&base)]);
+        for (what, variant) in &variants {
+            assert!(
+                keys.insert(content_hash(variant)),
+                "{what} must change the key"
+            );
+        }
+        assert_eq!(content_hash(&base), content_hash(&base.clone()));
+
+        // Every run length mod 8 (two-per-word arrays) and mod 4
+        // (`row_ptr`), with a change at every position: the tail words
+        // after the last full four-lane step must all reach the digest.
+        for n in 1..=16usize {
+            let row_ptr: Vec<usize> = (0..=n).collect();
+            let col_idx: Vec<u32> = (0..n as u32).collect();
+            let values: Vec<f32> = (1..=n).map(|v| v as f32).collect();
+            let key = content_hash(&csr(n, n + 1, &row_ptr, &col_idx, &values));
+            for p in 0..n {
+                let mut bit = values.clone();
+                bit[p] = f32::from_bits(bit[p].to_bits() ^ 1);
+                let mut col = col_idx.clone();
+                col[p] = n as u32;
+                let mut split = row_ptr.clone();
+                split[p] = p + 1;
+                let mut changed = vec![
+                    ("value bit", csr(n, n + 1, &row_ptr, &col_idx, &bit)),
+                    ("col_idx", csr(n, n + 1, &row_ptr, &col, &values)),
+                ];
+                if p > 0 {
+                    changed.push(("row_ptr", csr(n, n + 1, &split, &col_idx, &values)));
+                }
+                for (what, variant) in &changed {
+                    assert_ne!(
+                        content_hash(variant),
+                        key,
+                        "{what} at {p} of {n} must change the key"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn disk_cache_revives_under_the_word_hash_key_and_other_names_miss() {
+        let dir = std::env::temp_dir().join(format!("gust-serve-key-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let matrix = small_matrix(17);
+        let key = content_hash(&matrix);
+        let path = dir.join(format!("{:016x}.gust", key.as_u64()));
+
+        let registry = ScheduleRegistry::new(engine()).with_cache_dir(&dir);
+        assert_eq!(registry.insert(&matrix), key);
+        registry.acquire(key).unwrap();
+        assert!(path.exists(), "the plan is written under the word-hash key");
+
+        let registry = ScheduleRegistry::new(engine()).with_cache_dir(&dir);
+        registry.insert(&matrix);
+        registry.acquire(key).unwrap();
+        assert_eq!(
+            (registry.stats().disk_loads, registry.stats().rebuilds),
+            (1, 0)
+        );
+
+        // A plan left under any other name (such as a key from an older
+        // hash) is simply not found: the registry rebuilds and writes it
+        // under the current key.
+        let old = dir.join(format!("{:016x}.gust", !key.as_u64()));
+        assert_ne!(old, path);
+        std::fs::rename(&path, &old).unwrap();
+        let registry = ScheduleRegistry::new(engine()).with_cache_dir(&dir);
+        registry.insert(&matrix);
+        registry.acquire(key).unwrap();
+        assert_eq!(
+            (registry.stats().disk_loads, registry.stats().rebuilds),
+            (0, 1)
+        );
+        assert!(path.exists());
+
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -114,3 +114,93 @@ proptest! {
         prop_assert!(max_relative_error(&y, &expected) < 1e-3);
     }
 }
+
+/// The backends runnable on this host, scalar always included.
+fn backends() -> Vec<Backend> {
+    let mut v = vec![Backend::Scalar];
+    if Backend::Avx2.is_available() {
+        v.push(Backend::Avx2);
+    }
+    if Backend::Avx512.is_available() {
+        v.push(Backend::Avx512);
+    }
+    v
+}
+
+/// 44 rows × 140 000 columns whose non-zeros all fall on 40 hub columns:
+/// every window reuses its columns and the single-vector operand block
+/// exceeds the staging footprint, so the width-1 walks stage.
+fn staged_matrix() -> CsrMatrix {
+    let cols = 140_000;
+    let triplets = (0..44u32).flat_map(|r| {
+        (0..12u32).map(move |k| {
+            let hub = (r * 7 + k * 13) % 40;
+            (
+                r as usize,
+                (hub * 3499) as usize,
+                0.5 + (r + k) as f32 * 0.25,
+            )
+        })
+    });
+    CsrMatrix::from(&CooMatrix::from_triplets(44, cols, triplets).expect("in range"))
+}
+
+/// A width-1 panel is the single-vector walk: `execute_batch*(s, x, 1)`
+/// equals `execute*(s, x).output` bit for bit on every available backend
+/// — flat plans, single-band and forced multi-band banded plans, and
+/// tiled plans with several tiles — for ragged, empty-window-heavy and
+/// staged shapes alike.
+#[test]
+fn width1_panels_are_bit_identical_to_single_vector_runs() {
+    let tall = {
+        // Rows 8..72 are empty: whole windows without a non-zero.
+        let coo = gen::uniform(100, 50, 300, 41);
+        let kept = coo.iter().filter(|&(r, _, _)| !(8..72).contains(&r));
+        CsrMatrix::from(&CooMatrix::from_triplets(100, 50, kept).expect("in range"))
+    };
+    for (name, matrix) in [
+        ("uniform-ragged", generate(0, 61, 70, 420, 3)),
+        ("power-law", generate(1, 64, 64, 500, 5)),
+        ("empty-windows", tall),
+        ("staged", staged_matrix()),
+    ] {
+        let cols = matrix.cols();
+        let x = panel(cols, 1, 9);
+        for backend in backends() {
+            let gust = Gust::new(
+                GustConfig::new(8)
+                    .with_backend(Some(backend))
+                    .with_cache_budget(Some(1 << 30)),
+            );
+            let scheduler = gust::schedule::Scheduler::new(gust.config().clone());
+            let tag = format!("{name} / {}", backend.name());
+
+            let flat = gust.schedule(&matrix);
+            if name == "empty-windows" {
+                assert!(flat.windows().iter().any(|w| w.nnz() == 0), "{tag}");
+            }
+            let single = gust.execute(&flat, &x);
+            let (y, report) = gust.execute_batch(&flat, &x, 1);
+            assert_eq!(y, single.output, "{tag}: flat");
+            assert_eq!(report, single.report, "{tag}: flat report");
+
+            let one_band = gust.schedule_banded(&matrix);
+            assert_eq!(one_band.bands().count(), 1);
+            let multi_band =
+                scheduler.schedule_banded_with(&matrix, ColumnBands::with_count(cols, 5));
+            for (bands, banded) in [("1 band", &one_band), ("5 bands", &multi_band)] {
+                let single = gust.execute_banded(banded, &x);
+                let (y, report) = gust.execute_batch_banded(banded, &x, 1);
+                assert_eq!(y, single.output, "{tag}: banded, {bands}");
+                assert_eq!(report, single.report, "{tag}: banded report, {bands}");
+            }
+
+            let tiled = scheduler.schedule_tiled_with(&matrix, 3, ColumnBands::with_count(cols, 4));
+            assert!(tiled.tile_count() > 1, "{tag}: tiling must be forced");
+            let single = gust.execute_tiled(&tiled, &x);
+            let (y, report) = gust.execute_batch_tiled(&tiled, &x, 1);
+            assert_eq!(y, single.output, "{tag}: tiled");
+            assert_eq!(report, single.report, "{tag}: tiled report");
+        }
+    }
+}
